@@ -14,8 +14,47 @@ module Plan = Ic_fault.Plan
 module Recovery = Ic_fault.Recovery
 module Metrics = Ic_obs.Metrics
 module Trace = Ic_obs.Trace
+module Chaos = Ic_served.Chaos
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
+
+(* ------------------------------------------------------ golden digests *)
+
+(* The seeded hammer runs below are checked against digests of their
+   output as the harness produced it before its three drivers shared one
+   worker model. A rerun-equals-rerun check cannot catch a change of
+   behaviour; these constants can. Floats render with %h so the digest
+   sees every bit; [wall_s] is real time and stays out. *)
+let md5 s = Digest.to_hex (Digest.string s)
+
+let show_result (r : Hammer.result) =
+  let b = Buffer.create 65536 in
+  let st = r.Hammer.server in
+  Printf.bprintf b "%d %d %h %d %d %h %h %h %h|" r.Hammer.n_tasks
+    r.Hammer.completed r.Hammer.makespan_s r.Hammer.crashed
+    r.Hammer.disconnects r.Hammer.lease_grant_p50_s r.Hammer.lease_grant_p99_s
+    r.Hammer.task_service_p50_s r.Hammer.task_service_p99_s;
+  Printf.bprintf b "%d %d %d %d %d %d %d %d %d %d %d|" st.Server.leases
+    st.Server.leased_tasks st.Server.completions st.Server.duplicate_completes
+    st.Server.reissues st.Server.retry_afters st.Server.heartbeats
+    st.Server.protocol_errors st.Server.inflight st.Server.recovered_reissues
+    st.Server.recovered_tasks;
+  Array.iter (Printf.bprintf b "%h ") r.Hammer.busy_s;
+  Buffer.contents b
+
+let show_chaos (r : Hammer.chaos_result) =
+  let link (s : Chaos.stats) =
+    Printf.sprintf "%d %d %d %d %d %d %d %d %d|" s.Chaos.frames
+      s.Chaos.delivered s.Chaos.dropped s.Chaos.duplicated s.Chaos.reordered
+      s.Chaos.truncated s.Chaos.corrupted s.Chaos.reader_errors
+      s.Chaos.resyncs
+  in
+  show_result r.Hammer.base ^ link r.Hammer.c2s ^ link r.Hammer.s2c
+  ^ string_of_int r.Hammer.retries
+
+let check_golden what expected text =
+  Alcotest.(check string) (what ^ " matches its golden digest") expected
+    (md5 text)
 
 (* ------------------------------------------------------------ wire codec *)
 
@@ -378,7 +417,10 @@ let test_hammer_small_clean () =
       | _ -> ())
     sink;
   Alcotest.(check int) "client ids are shard ids" 0 !bad;
-  Alcotest.(check bool) "trace non-empty" true (Trace.length sink > 0)
+  Alcotest.(check bool) "trace non-empty" true (Trace.length sink > 0);
+  check_golden "chrome trace" "5afce6c9d516639aaaa32fc36bb4bee9"
+    (Ic_obs.Exporter.chrome_trace sink);
+  check_golden "result" "8c890c1bc3779e3db485208c216b1f29" (show_result r)
 
 (* the acceptance run: mesh-256 (32,896 tasks), 10^4 churning workers,
    every task applied exactly once, metrics byte-identical across runs *)
@@ -416,6 +458,8 @@ let test_mesh256_churn_exactly_once () =
   Alcotest.(check int) "nothing left in flight" 0
     r.Hammer.server.Server.inflight;
   Alcotest.(check bool) "virtual makespan positive" true (r.Hammer.makespan_s > 0.0);
+  check_golden "metrics JSON" "1f590b5b3495cc375503a0acbeb32631" json1;
+  check_golden "result" "eda8d7b65b06c0911d5288044d91c70b" (show_result r);
   (* byte-determinism: an identically seeded run dumps identical metrics *)
   let r2, json2 = acceptance_run () in
   Alcotest.(check string) "metrics JSON byte-identical" json1 json2;
@@ -485,7 +529,6 @@ let test_live_mirror_preserves_determinism () =
 (* --------------------------------------------------- journal + recovery *)
 
 module Journal = Ic_served.Journal
-module Chaos = Ic_served.Chaos
 module Wire_plan = Ic_fault.Plan.Wire
 
 let tmp_journal () = Filename.temp_file "ic_test_journal" ".wal"
@@ -749,6 +792,8 @@ let test_mesh256_kill_recover_exactly_once () =
   Alcotest.(check int) "server agrees" n r.Hammer.server.Server.completions;
   Alcotest.(check int) "nothing in flight" 0 r.Hammer.server.Server.inflight;
   Alcotest.(check bool) "churn still crashed workers" true (r.Hammer.crashed > 0);
+  check_golden "metrics JSON" "11130e3a76c1ba2e8a842f808434e7eb" json1;
+  check_golden "result" "84d54dff854abbe6d6ec254cb9d769f4" (show_result r);
   write_bytes path snapshot;
   let r2, json2 = run () in
   Alcotest.(check int) "second recovery also exact" n r2.Hammer.completed;
@@ -799,6 +844,8 @@ let test_chaos_hostile_wire_exactly_once () =
      + c2s.Chaos.resyncs + s2c.Chaos.resyncs
     > 0);
   Alcotest.(check bool) "timeouts re-sent requests" true (r.Hammer.retries > 0);
+  check_golden "metrics JSON" "f6bf0a59807924b01252695285e41850" json1;
+  check_golden "result" "45445e62ada5b3077f8856fae3fceb5a" (show_chaos r);
   (* the whole gauntlet is a pure function of the seeds *)
   let r2, json2 = chaos_run ~wire () in
   Alcotest.(check string) "byte-identical metrics across reruns" json1 json2;
