@@ -126,6 +126,25 @@ val fill_remaining : Dag.t -> (int -> int -> unit) -> unit
     scratch (sequential or atomic) starts from, without materializing an
     intermediate int array. *)
 
+(** Shared remaining-predecessor counts for concurrent drivers,
+    decremented with fetch-and-add. Counts are packed by the dag's
+    {!scratch_tier}: 7 8-bit fields per atomic word under [Packed8], 3
+    16-bit fields under [Packed16], one count per word under
+    [Unpacked] — one boxed atomic per word, so about 3.4 B/node on the
+    8-bit tier. *)
+module Counts : sig
+  type t
+
+  val create : Dag.t -> t
+  (** Every node's count set to its in-degree. [O(n)]. *)
+
+  val decr : t -> int -> bool
+  (** [decr t v] takes one from [v]'s count and is [true] iff it took
+      the count from 1 to 0: exactly one of [v]'s in-degree decrements,
+      from whichever thread, returns [true]. Safe from any thread; a
+      count must not be decremented below 0. *)
+end
+
 type scratch_counts = { packed8 : int; packed16 : int; unpacked : int }
 
 val scratch_counts : unit -> scratch_counts

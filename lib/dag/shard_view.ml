@@ -2,7 +2,7 @@ type t = {
   dag : Dag.t;
   n_shards : int;
   block : int;  (* nodes per shard: shard of v = v / block *)
-  remaining : int Atomic.t array;
+  remaining : Frontier.Counts.t;
   done_count : int Atomic.t;
 }
 
@@ -10,9 +10,13 @@ let create ?(n_shards = 1) g =
   let n = Dag.n_nodes g in
   let n_shards = max 1 (min n_shards (max 1 n)) in
   let block = if n = 0 then 1 else ((n - 1) / n_shards) + 1 in
-  let remaining = Array.init n (fun _ -> Atomic.make 0) in
-  Frontier.fill_remaining g (fun v d -> Atomic.set remaining.(v) d);
-  { dag = g; n_shards; block; remaining; done_count = Atomic.make 0 }
+  {
+    dag = g;
+    n_shards;
+    block;
+    remaining = Frontier.Counts.create g;
+    done_count = Atomic.make 0;
+  }
 
 let dag t = t.dag
 let n_nodes t = Dag.n_nodes t.dag
@@ -39,8 +43,7 @@ let complete t v ~ready =
   let off = Dag.succ_offsets t.dag and dat = Dag.succ_targets t.dag in
   for i = Slab.unsafe_get off v to Slab.unsafe_get off (v + 1) - 1 do
     let s = Slab.unsafe_get dat i in
-    (* exactly one decrement observes old value 1, so [ready] fires once *)
-    if Atomic.fetch_and_add t.remaining.(s) (-1) = 1 then
+    if Frontier.Counts.decr t.remaining s then
       ready ~shard:(s / t.block) s
   done;
   ignore (Atomic.fetch_and_add t.done_count 1)

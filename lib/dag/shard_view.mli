@@ -4,15 +4,15 @@
     shard view splits the same bookkeeping across [n_shards] disjoint
     node partitions so independent pools (one per shard, each behind its
     own lock in the caller) can hand out eligible tasks concurrently.
-    The view owns only the {e dependence} side of the state — one
-    remaining-predecessor count per node, decremented with an atomic
-    fetch-and-add exactly as the parallel runtime's packed counts are —
-    and reports each node that becomes eligible, tagged with its owning
-    shard, through a callback. What the caller does with a newly
-    eligible node (push it into a locked per-shard pool, lease it over a
-    socket) is its business; the view guarantees that each node is
-    reported eligible exactly once, on the {!complete} call of its last
-    outstanding predecessor, from whichever thread made it.
+    The view owns only the {e dependence} side of the state — the
+    packed atomic remaining-predecessor counts of {!Frontier.Counts},
+    the same ones the parallel runtime decrements — and reports each
+    node that becomes eligible, tagged with its owning shard, through a
+    callback. What the caller does with a newly eligible node (push it
+    into a locked per-shard pool, lease it over a socket) is its
+    business; the view guarantees that each node is reported eligible
+    exactly once, on the {!complete} call of its last outstanding
+    predecessor, from whichever thread made it.
 
     Nodes are partitioned into contiguous blocks (node [v] belongs to
     shard [v / ceil (n / n_shards)]), so the families' level-ordered

@@ -62,3 +62,8 @@ val load : string -> (dump, string) result
 val to_trace : dump -> Trace.t
 (** The recovered events replayed into a fresh {!Trace.t} (in sequence
     order), ready for {!Exporter.chrome_trace}. *)
+
+val crc32 : Bytes.t -> int -> int -> int
+(** [crc32 b off len]: CRC-32 (the zlib/PNG polynomial 0xEDB88320) of a
+    byte range — the frame checksum here and the record checksum of the
+    served write-ahead journal. *)

@@ -90,50 +90,23 @@ type t = {
   mutable pa : int array;
   mutable pb : int array;
   mutable len : int;
-  (* ring head: oldest event's physical index. Stays 0 until a bounded
-     trace fills, so the unbounded layout is exactly the historical
-     one. *)
-  mutable start : int;
-  limit : int;  (* 0 = unbounded *)
-  mutable dropped : int;
-  drop_counter : Metrics.counter option;
 }
 
-let create ?(capacity = 1024) ?limit ?metrics () =
-  let limit =
-    match limit with
-    | None -> 0
-    | Some l ->
-      if l < 1 then invalid_arg "Trace.create: limit must be >= 1";
-      l
-  in
+let create ?(capacity = 1024) () =
   let capacity = max capacity 16 in
-  let capacity = if limit > 0 then min capacity limit else capacity in
-  let capacity = max capacity 1 in
   {
     kinds = Bytes.create capacity;
     times = Array.make capacity 0.0;
     pa = Array.make capacity 0;
     pb = Array.make capacity 0;
     len = 0;
-    start = 0;
-    limit;
-    dropped = 0;
-    drop_counter =
-      Option.map (fun m -> Metrics.counter m "obs.dropped_events") metrics;
   }
 
 let length t = t.len
-let limit t = t.limit
-let dropped t = t.dropped
-
-let clear t =
-  t.len <- 0;
-  t.start <- 0
+let clear t = t.len <- 0
 
 let grow t =
   let cap = 2 * Array.length t.times in
-  let cap = if t.limit > 0 then min cap t.limit else cap in
   let kinds = Bytes.create cap in
   Bytes.blit t.kinds 0 kinds 0 t.len;
   let times = Array.make cap 0.0 in
@@ -148,30 +121,13 @@ let grow t =
   t.pb <- pb
 
 let emit t kind ~time ~a ~b =
-  (if t.len = Array.length t.times then
-     if t.limit = 0 || t.len < t.limit then grow t);
-  if t.len < Array.length t.times then begin
-    (* not yet full: [start] is still 0, physical index = len *)
-    let i = t.len in
-    Bytes.unsafe_set t.kinds i (Char.unsafe_chr (kind_to_int kind));
-    Array.unsafe_set t.times i time;
-    Array.unsafe_set t.pa i a;
-    Array.unsafe_set t.pb i b;
-    t.len <- i + 1
-  end
-  else begin
-    (* bounded ring at capacity: overwrite the oldest event *)
-    let i = t.start in
-    Bytes.unsafe_set t.kinds i (Char.unsafe_chr (kind_to_int kind));
-    Array.unsafe_set t.times i time;
-    Array.unsafe_set t.pa i a;
-    Array.unsafe_set t.pb i b;
-    t.start <- (if i + 1 = t.len then 0 else i + 1);
-    t.dropped <- t.dropped + 1;
-    match t.drop_counter with
-    | Some c -> Metrics.incr c
-    | None -> ()
-  end
+  if t.len = Array.length t.times then grow t;
+  let i = t.len in
+  Bytes.unsafe_set t.kinds i (Char.unsafe_chr (kind_to_int kind));
+  Array.unsafe_set t.times i time;
+  Array.unsafe_set t.pa i a;
+  Array.unsafe_set t.pb i b;
+  t.len <- i + 1
 
 let task_alloc t ~time ~task ~client = emit t Task_alloc ~time ~a:task ~b:client
 let task_start t ~time ~task ~client = emit t Task_start ~time ~a:task ~b:client
@@ -208,15 +164,8 @@ let frontier_depth t ~time ~shard ~depth =
 
 let inflight t ~time ~count = emit t Inflight ~time ~a:count ~b:0
 
-(* logical position [i] (0 = oldest retained event) -> physical index;
-   [start] is 0 unless a bounded ring has wrapped *)
-let phys t i =
-  let p = t.start + i in
-  if p >= t.len then p - t.len else p
-
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get: index out of range";
-  let i = phys t i in
   {
     kind = kind_of_int (Char.code (Bytes.get t.kinds i));
     time = t.times.(i);
@@ -226,7 +175,6 @@ let get t i =
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    let i = phys t i in
     f
       {
         kind = kind_of_int (Char.code (Bytes.unsafe_get t.kinds i));
@@ -247,7 +195,6 @@ let eligibility_timeline t =
   let out = Array.make !n (0.0, 0) in
   let j = ref 0 in
   for i = 0 to t.len - 1 do
-    let i = phys t i in
     if Char.code (Bytes.unsafe_get t.kinds i) = kind_to_int Eligible_count
     then begin
       out.(!j) <- (t.times.(i), t.pa.(i));

@@ -67,30 +67,14 @@ type event = { kind : kind; time : float; a : int; b : int }
 
 type t
 
-val create : ?capacity:int -> ?limit:int -> ?metrics:Metrics.t -> unit -> t
-(** An empty trace. [capacity] (default 1024) presizes the columns.
-
-    With [limit] the trace is a bounded ring: it grows normally up to
-    [limit] events, then each further emission overwrites the oldest
-    retained event, so a long-running serve holds the most recent
-    [limit] events in constant space. Reads ({!get}, {!iter},
-    {!to_array}) always present the retained events oldest-first.
-    Without [limit] (the default) the trace is unbounded, which is what
-    seeded offline runs want — nothing is ever dropped, and equal runs
-    stay byte-identical.
-
-    [metrics] registers an [obs.dropped_events] counter in the given
-    registry, bumped once per overwritten event. *)
+val create : ?capacity:int -> unit -> t
+(** An empty trace. [capacity] (default 1024) presizes the columns; they
+    grow as needed and nothing is ever dropped, so equal seeded runs
+    stay byte-identical. The bounded, crash-surviving event ring is
+    {!Flight}. *)
 
 val length : t -> int
-(** Number of retained events. *)
-
-val limit : t -> int
-(** The ring bound, or [0] when unbounded. *)
-
-val dropped : t -> int
-(** Events overwritten since creation (always [0] when unbounded).
-    Survives {!clear}: it counts over the trace's lifetime. *)
+(** Number of recorded events. *)
 
 val clear : t -> unit
 (** Forget all events, keeping the column storage. *)

@@ -26,51 +26,6 @@ let default_domains () =
     | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* Shared remaining-predecessor counts, decremented with fetch-and-add.
-
-   The packing reuses the Frontier's scratch-tier rule: the tier bound is
-   the largest value any count can take, so several counts share one
-   atomic word — 7 8-bit fields per word under [Packed8], 3 16-bit fields
-   under [Packed16] (OCaml ints are 63-bit, hence 7 and 3 rather than 8
-   and 4), one count per word under [Unpacked]. A field decrement is
-   [fetch_and_add word (-(1 lsl shift))]: fields never underflow in a
-   correct run (each is decremented exactly in-degree times), so no
-   borrow ever crosses a field boundary, and the returned old word tells
-   the caller — uniquely, since exactly one decrement observes old field
-   value 1 — whether it made the node ready. *)
-module Counts = struct
-  type t = {
-    words : int Atomic.t array;
-    per_word : int;
-    bits : int;
-    mask : int;
-  }
-
-  let layout = function
-    | Frontier.Packed8 -> (7, 8, 0xff)
-    | Frontier.Packed16 -> (3, 16, 0xffff)
-    | Frontier.Unpacked -> (1, 0, -1)
-
-  let create g =
-    let n = Dag.n_nodes g in
-    let per_word, bits, mask = layout (Frontier.scratch_tier g) in
-    let n_words = if n = 0 then 0 else ((n - 1) / per_word) + 1 in
-    let plain = Array.make n_words 0 in
-    Frontier.fill_remaining g (fun v d ->
-        plain.(v / per_word) <-
-          plain.(v / per_word) lor (d lsl (v mod per_word * bits)));
-    { words = Array.map Atomic.make plain; per_word; bits; mask }
-
-  (* true iff this decrement took node [v]'s count from 1 to 0 *)
-  let decr t v =
-    if t.per_word = 1 then Atomic.fetch_and_add t.words.(v) (-1) = 1
-    else begin
-      let shift = v mod t.per_word * t.bits in
-      let old = Atomic.fetch_and_add t.words.(v / t.per_word) (-(1 lsl shift)) in
-      (old lsr shift) land t.mask = 1
-    end
-end
-
 (* The shared spill target for full deques: a mutex-protected stack. Cold
    by design — it only sees traffic when a deque's fixed buffer fills. *)
 module Overflow = struct
@@ -176,12 +131,15 @@ let steal_from ready victim =
   | Deques (dq, _) -> Deque.steal dq.(victim)
   | Shards p -> Pool.try_steal p ~shard:victim
 
-let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
-    ?(park_min = 2e-6) ?(park_max = 1e-3) ?metrics ?sink ?live g ~task =
-  if (not (Float.is_finite park_min)) || park_min <= 0.0 then
-    invalid_arg "Runtime.run: park_min must be finite and positive";
-  if (not (Float.is_finite park_max)) || park_max < park_min then
-    invalid_arg "Runtime.run: park_max must be finite and >= park_min";
+(* slots per deque; a full deque spills to the shared overflow pool *)
+let capacity = 8192
+
+(* an idle worker's k-th consecutive failed sweep past the spin
+   threshold sleeps min park_max (k * park_min) seconds *)
+let park_min = 2e-6
+let park_max = 1e-3
+
+let run ?domains ?(order = Steal) ?priority ?metrics ?sink ?live g ~task =
   let n = Dag.n_nodes g in
   let n_domains =
     max 1 (match domains with Some d -> d | None -> default_domains ())
@@ -237,7 +195,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
         in
         Shards (Pool.create ~shards:n_domains ~rank)
     in
-    let counts = Counts.create g in
+    let counts = Frontier.Counts.create g in
     let completed = Atomic.make 0 in
     let off = Dag.succ_offsets g and dat = Dag.succ_targets g in
     let lv = Option.map live_instr live in
@@ -289,7 +247,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
       w.tasks <- w.tasks + 1;
       for i = Slab.unsafe_get off v to Slab.unsafe_get off (v + 1) - 1 do
         let s = Slab.unsafe_get dat i in
-        if Counts.decr counts s then push_ready ready w s
+        if Frontier.Counts.decr counts s then push_ready ready w s
       done;
       ignore (Atomic.fetch_and_add completed 1)
     in
@@ -397,11 +355,7 @@ let run ?domains ?(order = Steal) ?priority ?(capacity = 8192)
     st
   end
 
-let executor ?domains ?order ?priority ?capacity ?park_min ?park_max ?metrics
-    ?sink ?live ?on_stats () =
+let executor ?domains ?order ?priority ?metrics ?sink ?live ?on_stats () =
  fun g step ->
-  let st =
-    run ?domains ?order ?priority ?capacity ?park_min ?park_max ?metrics ?sink
-      ?live g ~task:step
-  in
+  let st = run ?domains ?order ?priority ?metrics ?sink ?live g ~task:step in
   match on_stats with None -> () | Some f -> f st

@@ -3,8 +3,8 @@
 
     Each domain owns a Chase–Lev deque ({!Deque}) of ready task ids;
     completing a task decrements the remaining-predecessor count of each
-    successor with a fetch-and-add on shared atomic words (packed by the
-    Frontier's scratch-tier rule — see {!Ic_dag.Frontier.scratch_tier}),
+    successor with a fetch-and-add on shared atomic words
+    ({!Ic_dag.Frontier.Counts}, packed by the dag's scratch tier),
     and the decrement that reaches zero pushes the successor onto the
     completing domain's deque. An idle domain pops its own deque, drains
     the shared overflow pool, then steals from random victims, parking
@@ -46,9 +46,6 @@ val run :
   ?domains:int ->
   ?order:order ->
   ?priority:int array ->
-  ?capacity:int ->
-  ?park_min:float ->
-  ?park_max:float ->
   ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->
@@ -63,18 +60,13 @@ val run :
     total worker count — the calling domain is worker 0, [domains - 1]
     are spawned. [order] defaults to [Steal]. [priority] (Ic_priority
     only; default the identity, i.e. ascending node id) maps node to
-    rank, lower first; [Invalid_argument] on a length mismatch.
-    [capacity] (default 8192) sizes each deque; overflow spills to a
-    shared mutex-protected pool rather than resizing.
+    rank, lower first; [Invalid_argument] on a length mismatch. Each
+    deque holds 8192 tasks; overflow spills to a shared mutex-protected
+    pool rather than resizing.
 
     An idle worker whose steal sweep keeps failing escalates from
     spinning to sleeping: the [k]-th consecutive failed sweep past the
-    spin threshold sleeps [min park_max (k * park_min)] seconds.
-    [park_min] (default [2e-6]) is the escalation step, [park_max]
-    (default [1e-3]) the cap — raise [park_max] to cede more CPU on
-    oversubscribed machines, lower it to cut wake-up latency on bursty
-    dags. [Invalid_argument] unless [0 < park_min <= park_max], both
-    finite.
+    spin threshold sleeps [min 1e-3 (k * 2e-6)] seconds.
 
     [metrics], when given, receives after the run the counters
     [par.tasks], [par.steals], [par.steal_attempts], [par.overflows],
@@ -99,9 +91,6 @@ val executor :
   ?domains:int ->
   ?order:order ->
   ?priority:int array ->
-  ?capacity:int ->
-  ?park_min:float ->
-  ?park_max:float ->
   ?metrics:Ic_obs.Metrics.t ->
   ?sink:Ic_obs.Trace.t ->
   ?live:Ic_obs.Live.t ->

@@ -3,12 +3,13 @@
     {!serve} wraps a {!Server} in a single-threaded select loop:
     length-prefixed frames in, one reply per request out, lease expiries
     fired from the wall clock between polls. {!hammer} is the matching
-    real-time client: it runs {!Hammer}'s worker model (same batch
-    discipline, same seeded Pareto service latencies, same
-    {!Ic_fault.Plan.Churn} stream) but multiplexes the virtual workers
-    over a handful of real connections — the protocol is strict
-    request/response, so replies on a connection are matched to
-    outstanding requests FIFO.
+    real-time client and the third transport of {!Hammer.fleet}, the
+    one worker model (batch discipline, seeded Pareto service latencies,
+    {!Ic_fault.Plan.Churn} stream, reactions to replies): this module
+    only carries it over a handful of real connections — the protocol
+    is strict request/response, so replies on a connection are matched
+    to outstanding requests FIFO — with elapsed wall time as the clock
+    and a 100 µs floor under [Retry_after] delays.
 
     Both ends survive a hostile wire: every blocking call retries
     [EINTR]; a peer that vanished ([ECONNRESET]/[EPIPE]) closes that one

@@ -241,6 +241,46 @@ let test_scratch_tier_boundaries () =
     c4.Frontier.unpacked;
   check_int "65536 leaves packed16 alone" c3.Frontier.packed16 c4.Frontier.packed16
 
+(* Frontier.Counts: every arc's decrement in a shuffled order; each
+   node with predecessors must be reported ready exactly once, on the
+   decrement that takes its last one, whatever its word-mates do *)
+let test_counts_ready_once () =
+  let st = Random.State.make [| 0xC0 |] in
+  let check_dag name tier g =
+    Alcotest.(check bool) (name ^ " tier") true (Frontier.scratch_tier g = tier);
+    let n = Dag.n_nodes g in
+    let arcs = ref [] in
+    Dag.iter_arcs g (fun u v -> arcs := (u, v) :: !arcs);
+    let arcs = Array.of_list !arcs in
+    for i = Array.length arcs - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = arcs.(i) in
+      arcs.(i) <- arcs.(j);
+      arcs.(j) <- t
+    done;
+    let left = Array.init n (fun v -> Dag.in_degree g v) in
+    let ready = Array.make n 0 in
+    let c = Frontier.Counts.create g in
+    Array.iter
+      (fun (_, v) ->
+        left.(v) <- left.(v) - 1;
+        let r = Frontier.Counts.decr c v in
+        if r <> (left.(v) = 0) then
+          Alcotest.failf "%s: node %d ready=%b with %d left" name v r left.(v);
+        if r then ready.(v) <- ready.(v) + 1)
+      arcs;
+    for v = 0 to n - 1 do
+      let want = if Dag.in_degree g v > 0 then 1 else 0 in
+      if ready.(v) <> want then
+        Alcotest.failf "%s: node %d reported ready %d times" name v ready.(v)
+    done
+  in
+  check_dag "random dag" Frontier.Packed8
+    (Gen.random_dag st ~n:200 ~arc_probability:0.1);
+  check_dag "in-star 255" Frontier.Packed8 (star 255);
+  check_dag "in-star 256" Frontier.Packed16 (star 256);
+  check_dag "in-star 65536" Frontier.Unpacked (star 65536)
+
 let test_scratch_metrics_idempotent () =
   profile_star 3;
   let reg = Ic_obs.Metrics.create () in
@@ -286,5 +326,7 @@ let () =
             test_scratch_tier_boundaries;
           Alcotest.test_case "metrics idempotent" `Quick
             test_scratch_metrics_idempotent;
+          Alcotest.test_case "shared counts: ready exactly once" `Quick
+            test_counts_ready_once;
         ] );
     ]

@@ -88,56 +88,6 @@ let test_kind_names () =
   check_str "crash" "client_crash" (Trace.kind_name Trace.Client_crash);
   check_str "rejoin" "client_rejoin" (Trace.kind_name Trace.Client_rejoin)
 
-(* --- bounded ring mode --- *)
-
-let test_trace_ring () =
-  let m = Metrics.create () in
-  let t = Trace.create ~capacity:2 ~limit:8 ~metrics:m () in
-  check_int "limit recorded" 8 (Trace.limit t);
-  (* below the limit the ring behaves exactly like an unbounded trace *)
-  for i = 0 to 4 do
-    Trace.frontier_push t ~time:(float_of_int i) ~node:i
-  done;
-  check_int "no drops below limit" 0 (Trace.dropped t);
-  check_int "all retained below limit" 5 (Trace.length t);
-  check_int "oldest first" 0 (Trace.get t 0).Trace.a;
-  (* push past the limit: length pins at the limit, the oldest events
-     fall out, reads stay oldest-first *)
-  for i = 5 to 19 do
-    Trace.frontier_push t ~time:(float_of_int i) ~node:i
-  done;
-  check_int "length pinned at limit" 8 (Trace.length t);
-  check_int "drop count" 12 (Trace.dropped t);
-  check_int "dropped counter mirrors" 12
-    (Metrics.counter_value (Metrics.counter m "obs.dropped_events"));
-  for i = 0 to 7 do
-    let e = Trace.get t i in
-    check_int (Printf.sprintf "retained event %d" i) (12 + i) e.Trace.a;
-    check (Printf.sprintf "retained time %d" i) true
-      (e.Trace.time = float_of_int (12 + i))
-  done;
-  let arr = Trace.to_array t in
-  check_int "to_array matches ring view" 8 (Array.length arr);
-  check_int "to_array oldest first" 12 arr.(0).Trace.a;
-  let seen = ref [] in
-  Trace.iter (fun e -> seen := e.Trace.a :: !seen) t;
-  check "iter covers the ring oldest-first" true
-    (List.rev !seen = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  (* clear keeps the lifetime drop count and the ring keeps working *)
-  Trace.clear t;
-  check_int "cleared" 0 (Trace.length t);
-  check_int "dropped survives clear" 12 (Trace.dropped t);
-  Trace.frontier_push t ~time:99.0 ~node:99;
-  check_int "reusable after clear" 99 (Trace.get t 0).Trace.a;
-  (* the default stays unbounded *)
-  let u = Trace.create () in
-  check_int "unbounded limit is 0" 0 (Trace.limit u);
-  for i = 0 to 99 do
-    Trace.frontier_push u ~time:0.0 ~node:i
-  done;
-  check_int "unbounded drops nothing" 0 (Trace.dropped u);
-  check_int "unbounded keeps everything" 100 (Trace.length u)
-
 (* --- metrics registry --- *)
 
 let test_metrics_counter_gauge () =
@@ -819,6 +769,12 @@ let test_flight_rejects_foreign () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "foreign file must not load")
 
+(* the standard CRC-32 check value; the served journal shares this code *)
+let test_crc32_known_answer () =
+  let b = Bytes.of_string "123456789" in
+  check_int "crc32 \"123456789\"" 0xCBF43926 (Flight.crc32 b 0 9);
+  check_int "empty range" 0 (Flight.crc32 b 3 0)
+
 (* --- properties --- *)
 
 let prop_eligibility_timeline =
@@ -864,7 +820,6 @@ let () =
           Alcotest.test_case "clear" `Quick test_trace_clear;
           Alcotest.test_case "eligibility timeline" `Quick test_eligibility_timeline;
           Alcotest.test_case "kind names" `Quick test_kind_names;
-          Alcotest.test_case "bounded ring mode" `Quick test_trace_ring;
         ] );
       ( "live registry",
         [
@@ -888,6 +843,7 @@ let () =
             test_flight_reopen_continues;
           Alcotest.test_case "foreign file rejected" `Quick
             test_flight_rejects_foreign;
+          Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
         ] );
       ( "metrics",
         [

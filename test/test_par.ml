@@ -186,30 +186,6 @@ let test_single_node () =
       Alcotest.(check int) "task ran once" 1 (Atomic.get hits))
     [ Runtime.Steal; Runtime.Ic_priority ]
 
-let test_park_knobs () =
-  (* custom park bounds still complete the dag (forcing parks by giving
-     4 domains a single task), and bad bounds are rejected up front *)
-  let g = Ic_families.Mesh.out_mesh 6 in
-  let hits = Atomic.make 0 in
-  let st =
-    Runtime.run ~domains:4 ~park_min:1e-6 ~park_max:5e-5 g ~task:(fun _ ->
-        ignore (Atomic.fetch_and_add hits 1))
-  in
-  Alcotest.(check int) "all tasks ran" (Dag.n_nodes g) (Atomic.get hits);
-  Alcotest.(check int) "stats agree" (Dag.n_nodes g) st.Runtime.tasks;
-  let expect_invalid ~park_min ~park_max =
-    match
-      Runtime.run ~domains:1 ~park_min ~park_max (Dag.empty 1) ~task:ignore
-    with
-    | exception Invalid_argument _ -> ()
-    | _ ->
-      Alcotest.failf "park_min=%g park_max=%g accepted" park_min park_max
-  in
-  expect_invalid ~park_min:0.0 ~park_max:1e-3;
-  expect_invalid ~park_min:(-1e-6) ~park_max:1e-3;
-  expect_invalid ~park_min:1e-3 ~park_max:1e-6;
-  expect_invalid ~park_min:2e-6 ~park_max:nan
-
 let test_priority_length_mismatch () =
   let g = Dag.empty 3 in
   match
@@ -392,7 +368,6 @@ let () =
           Alcotest.test_case "single node" `Quick test_single_node;
           Alcotest.test_case "priority length mismatch" `Quick
             test_priority_length_mismatch;
-          Alcotest.test_case "park knobs" `Quick test_park_knobs;
           Alcotest.test_case "engine rejects schedule+executor" `Quick
             test_engine_rejects_schedule_plus_executor;
         ] );
