@@ -830,8 +830,9 @@ let serve_cmd =
       value & flag
       & info [ "fsync" ]
           ~doc:
-            "fsync the journal after every record (machine-crash durable; \
-             default flushes per record, which survives kill -9)")
+            "fsync the journal before each round of replies leaves \
+             (machine-crash durable; default flushes, which survives kill \
+             -9); one flush or fsync covers every record of the round")
   in
   let recover_arg =
     Arg.(

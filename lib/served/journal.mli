@@ -20,11 +20,16 @@
     - tag 3, {!Checkpoint}: [u32 n, ceil(n/8) done bits, ceil(n/8)
       leased bits] — a snapshot; everything before it is redundant.
 
-    Durability contract: every {!append} flushes to the OS, so a
-    [kill -9] loses at most the record mid-write; [~fsync:true]
-    additionally syncs the file per record and survives machine crashes.
-    A checkpoint rewrites the journal through a temporary file and an
-    atomic [rename], and is always fsynced.
+    Durability contract: an {!append} outside a {!group} is flushed to
+    the OS when it returns, so a [kill -9] loses at most the record
+    mid-write; [~fsync:true] additionally syncs the file and survives
+    machine crashes. Inside a {!group} the appends are flushed (and
+    fsynced) together when the group returns: one flush per group, not
+    one per record. The serve loop runs each round of requests as one
+    group and sends the round's replies only after it returns, so no
+    reply leaves ahead of its journal record. A checkpoint rewrites the
+    journal through a temporary file and an atomic [rename], and is
+    always fsynced.
 
     {!open_} on an existing file validates every record and {e truncates}
     the first torn or CRC-failing record and everything after it — a
@@ -42,7 +47,7 @@ type t
 
 val open_ : ?fsync:bool -> ?checkpoint_every:int -> string -> (t, string) result
 (** Open (creating if absent) the journal at a path. [fsync] (default
-    false) syncs per append; [checkpoint_every] (default 1024, >= 1) is
+    false) syncs with every flush — per append, or once per {!group}; [checkpoint_every] (default 1024, >= 1) is
     the number of {!Complete} appends after which {!checkpoint_due}
     turns true. An existing file is scanned: its intact record prefix
     becomes {!replayed}, and any torn tail is truncated in place
@@ -59,7 +64,15 @@ val truncated_bytes : t -> int
 val path : t -> string
 
 val append : t -> record -> unit
-(** Append one record and flush (+fsync when configured). *)
+(** Append one record and flush (+fsync when configured); inside a
+    {!group} the flush is left to the group. *)
+
+val group : t -> (unit -> 'a) -> 'a
+(** [group t f] runs [f], deferring the flush of every record it
+    appends, then flushes (+fsyncs when configured) once — also when
+    [f] raises, before re-raising. On return every record appended
+    inside is as durable as an {!append} outside a group. Nested groups
+    join the outermost one. *)
 
 val checkpoint_due : t -> bool
 (** Have [checkpoint_every] completions been appended since the last

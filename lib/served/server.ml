@@ -492,6 +492,8 @@ let handle t ~now (msg : Wire.msg) : Wire.msg =
   sample t ~now;
   reply
 
+let group t f = match t.journal with None -> f () | Some j -> Journal.group j f
+
 let next_expiry t =
   match Heap.peek t.expiries with None -> infinity | Some (time, _) -> time
 

@@ -77,8 +77,9 @@ val create :
     points whenever those values move across a [handle].
     [journal], when given, makes the server durable: every lease grant
     and every applied completion is appended (the completion {e before}
-    its [Ack] is produced), and the journal is compacted to a checkpoint
-    every [checkpoint_every] completions. The journal must be fresh;
+    its [Ack] is produced) and flushed before {!handle} returns — or,
+    inside {!group}, before the group returns — and the journal is
+    compacted to a checkpoint every [checkpoint_every] completions. The journal must be fresh;
     raises [Invalid_argument] if it replayed prior records — that is
     {!recover}'s job.
 
@@ -119,7 +120,16 @@ val handle : t -> now:float -> Wire.msg -> Wire.msg
 (** Process one client message at time [now] (seconds, any monotone
     origin) and return the reply. Server-side messages and out-of-range
     ids are counted as protocol errors and answered with [Ack]. [now]
-    must be non-decreasing across calls. *)
+    must be non-decreasing across calls. Outside a {!group}, the
+    message's journal records are flushed (+fsynced in [~fsync] mode)
+    when it returns, so the reply may go out at once. *)
+
+val group : t -> (unit -> 'a) -> 'a
+(** [group t f] runs [f] — typically several {!handle} calls, one round
+    of requests — as one journal group commit ({!Journal.group}): the
+    records of every message handled inside are flushed (+fsynced) once,
+    when [f] returns. A transport must send the replies produced inside
+    only after [group] returns. Without a journal, just [f ()]. *)
 
 val next_expiry : t -> float
 (** Time at which the earliest outstanding lease expires; [infinity]
